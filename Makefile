@@ -11,9 +11,11 @@
 #   make bench-smoke       every benchmark once (-benchtime=1x) so perf-path
 #                          code is compiled and executed on every PR
 #   make fuzz-smoke        short fuzz pass over the Elias wire coder, the
-#                          word-parallel bitvec/Elias kernels vs their scalar
-#                          oracles, and the PowerSGD Gram–Schmidt
-#                          orthonormalization on degenerate inputs
+#                          word-parallel bitvec/Elias kernels and the
+#                          stochastic sign kernels (MergeSigns, SSDM) vs
+#                          their scalar oracles, and the PowerSGD
+#                          Gram–Schmidt orthonormalization on degenerate
+#                          inputs
 #   make list-collectives  golden check: the CLIs' collective listing must
 #                          match docs/collectives.golden, so help text cannot
 #                          drift from the registry
@@ -92,10 +94,12 @@ bench-json:
 
 # bench-smoke runs every benchmark exactly once: cheap enough for CI,
 # and it proves the perf-path code (engine benches, chunk-pipelined
-# hops, word-parallel kernels) still compiles and executes.
+# hops, word-parallel and stochastic sign kernels against their scalar
+# oracles) still compiles and executes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/bitvec ./internal/compress
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/bitvec ./internal/compress \
+		./internal/core ./internal/collective ./internal/rng
 
 # fuzz-smoke gives the wire-facing Elias coder a short adversarial pass:
 # its payloads genuinely travel TCP frames in the distributed sign-sum
@@ -108,6 +112,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzEliasIntsIntoAgainstScalar' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzPackUnpackSigns' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz 'FuzzExtractInsert' -fuzztime $(FUZZTIME) ./internal/bitvec
+	$(GO) test -run '^$$' -fuzz 'FuzzMarshalRoundTrip' -fuzztime $(FUZZTIME) ./internal/bitvec
+	$(GO) test -run '^$$' -fuzz 'FuzzMergeSignsAgainstScalar' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzSSDMSignsAgainstScalar' -fuzztime $(FUZZTIME) ./internal/collective
 	$(GO) test -run '^$$' -fuzz 'FuzzGramSchmidt' -fuzztime $(FUZZTIME) ./internal/collective
 
 # list-collectives pins the registry-generated discovery listing (the

@@ -307,6 +307,26 @@ func (v *Vec) Merge3(local, transient *Vec) {
 	}
 }
 
+// MergeDrawn is Merge3 with the transient drawn one word at a time:
+// draw receives each word of local and the number of live bits in it
+// (64, or Len mod 64 for a short last word) and returns the matching
+// transient word, which is applied in the same pass. Words are visited
+// in ascending order, so a draw that consumes a random stream per live
+// bit consumes it in element order. No transient vector is stored.
+func (v *Vec) MergeDrawn(local *Vec, draw func(localWord uint64, nbits int) uint64) {
+	v.checkSame(local)
+	for i, b := range local.words {
+		nbits := 64
+		if i == len(v.words)-1 {
+			if rem := v.n & 63; rem != 0 {
+				nbits = rem
+			}
+		}
+		a := v.words[i]
+		v.words[i] = (a & b) | ((a ^ b) & draw(b, nbits))
+	}
+}
+
 // Extract returns a new vector holding bits [lo, hi) of v. It runs a
 // word at a time: each output word is assembled from at most two source
 // words with a funnel shift (this is a per-hop operation of the one-bit

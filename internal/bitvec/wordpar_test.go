@@ -192,6 +192,32 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 	})
 }
 
+// TestMergeDrawnMatchesMerge3 pins MergeDrawn to Merge3 with the
+// transient materialized: the draw sees each local word in order with
+// its live bit count, and the returned word is applied unchanged.
+func TestMergeDrawnMatchesMerge3(t *testing.T) {
+	for _, n := range fuzzVecLens {
+		agg, local, transient := fuzzVec(uint64(n), n), fuzzVec(uint64(n)+1, n), fuzzVec(uint64(n)+2, n)
+		want := agg.Clone()
+		want.Merge3(local, transient)
+		wi, seen := 0, 0
+		agg.MergeDrawn(local, func(lw uint64, nbits int) uint64 {
+			if lw != local.words[wi] {
+				t.Fatalf("n=%d: draw %d saw local word %#x, want %#x", n, wi, lw, local.words[wi])
+			}
+			seen += nbits
+			wi++
+			return transient.words[wi-1]
+		})
+		if seen != n || wi != len(local.words) {
+			t.Fatalf("n=%d: draws covered %d bits in %d words", n, seen, wi)
+		}
+		if !agg.Equal(want) {
+			t.Fatalf("n=%d: MergeDrawn diverges from Merge3", n)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Kernel benchmarks: the word-parallel fast paths against the scalar
 // oracles, at the one-bit wire path's typical segment sizes.

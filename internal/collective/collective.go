@@ -557,25 +557,66 @@ func SSDMSigns(v tensor.Vec, r *rng.PCG) ([]float64, float64) {
 
 // SSDMSignsInto is SSDMSigns writing the sign vector into dst (length
 // must equal len(v)) — the allocation-free form the concurrent engine's
-// pooled per-hop scratch uses. The stochastic draws from r are
-// identical to SSDMSigns.
+// pooled per-hop scratch uses. Element i keeps tensor.Sign(x_i) with
+// probability pKeep_i = 1/2 + |x_i|/(2‖v‖₂) (1/2 when the norm is not
+// positive) and flips it otherwise.
+//
+// Stream contract: the draws are exactly r.Bernoulli(pKeep_i) in element
+// order — one Float64 per element with 0 < pKeep_i < 1 or a NaN pKeep_i
+// (which flips), none where pKeep_i ≥ 1 (|x_i| = ‖v‖₂, as for the only
+// non-zero element) — so output and stream position equal the scalar
+// per-element loop's. The kernel runs in blocks of 64 elements: it
+// computes the block's pKeep (with the division, which a reciprocal
+// multiply would not reproduce bit for bit); when every element of the
+// block draws, it batch-draws their numerators u with rng.Fill53 and
+// keeps where u·2^-53 < pKeep_i, the exact value Float64 compares. A
+// block holding a no-draw element goes element by element through
+// Bernoulli, which applies the rule itself.
 func SSDMSignsInto(dst []float64, v tensor.Vec, r *rng.PCG) float64 {
 	if len(dst) != len(v) {
 		panic("collective: SSDMSignsInto length mismatch")
 	}
 	norm := tensor.Norm2(v)
-	for i, x := range v {
-		pKeep := 0.5
-		if norm > 0 {
-			pKeep = 0.5 + math.Abs(x)/(2*norm)
+	twoNorm := 2 * norm
+	var pKeep [64]float64
+	var u [64]uint64
+	for lo := 0; lo < len(v); lo += 64 {
+		blk := v[lo:min(lo+64, len(v))]
+		out := dst[lo : lo+len(blk)]
+		draws := 0
+		for i, x := range blk {
+			p := 0.5
+			if norm > 0 {
+				p = 0.5 + math.Abs(x)/twoNorm
+			}
+			pKeep[i] = p
+			if !(p <= 0 || p >= 1) {
+				draws++
+			}
 		}
-		s := tensor.Sign(x)
-		if !r.Bernoulli(pKeep) {
-			s = -s
+		if draws < len(blk) {
+			for i, x := range blk {
+				out[i] = stochasticSign(x, !r.Bernoulli(pKeep[i]))
+			}
+			continue
 		}
-		dst[i] = s
+		r.Fill53(u[:len(blk)])
+		for i, x := range blk {
+			out[i] = stochasticSign(x, !(float64(int64(u[i]))*0x1p-53 < pKeep[i]))
+		}
 	}
 	return norm
+}
+
+// stochasticSign returns tensor.Sign(x), negated when flip is set,
+// built by setting the sign bit of 1.0 to (x < 0) XOR flip so that no
+// branch depends on the random bit.
+func stochasticSign(x float64, flip bool) float64 {
+	var neg uint64
+	if (x < 0) != flip {
+		neg = 1
+	}
+	return math.Float64frombits(0x3FF0000000000000 | neg<<63)
 }
 
 // HubPushPull exposes the virtual parameter-server exchange: every

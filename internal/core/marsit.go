@@ -29,6 +29,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"marsit/internal/bitvec"
 	"marsit/internal/collective"
@@ -101,6 +102,14 @@ func NewParallelEngine(workers int, kind Transport) (*runtime.Engine, error) {
 // probability bWeight/(aWeight+bWeight), drawn from r via the transient
 // vector of Eq. (2). After the call agg is an unbiased one-bit estimate
 // of the sign average over all aWeight+bWeight workers.
+//
+// Stream contract: element i's transient bit is r.Bernoulli(p_i) in
+// element order — p_i = bWeight/total where local bit i is 1, else
+// aWeight/total — so the call consumes exactly agg.Len() Float64
+// draws, agreeing bits included. The kernel runs a word at a time: it
+// batch-draws a word's numerators u with rng.Fill53 and sets the
+// transient bit as u < ceil(p_i·2^53), the integer form of
+// u/2^53 < p_i (exact, because p_i·2^53 is exact and u is an integer).
 func MergeSigns(agg, local *bitvec.Vec, aWeight, bWeight int, r *rng.PCG) {
 	if aWeight <= 0 || bWeight <= 0 {
 		panic("core: MergeSigns needs positive weights")
@@ -109,17 +118,27 @@ func MergeSigns(agg, local *bitvec.Vec, aWeight, bWeight int, r *rng.PCG) {
 		panic(fmt.Sprintf("core: MergeSigns length mismatch %d != %d", agg.Len(), local.Len()))
 	}
 	total := float64(aWeight + bWeight)
-	pLocal1 := float64(bWeight) / total // local bit 1 → transient 1 w.p. b/(a+b)
-	pLocal0 := float64(aWeight) / total // local bit 0 → transient 1 w.p. a/(a+b)
-	transient := bitvec.New(agg.Len())
-	for i := 0; i < agg.Len(); i++ {
-		p := pLocal0
-		if local.Get(i) {
-			p = pLocal1
+	thr1 := bernoulliThreshold(float64(bWeight) / total) // local bit 1 → transient 1 w.p. b/(a+b)
+	thr0 := bernoulliThreshold(float64(aWeight) / total) // local bit 0 → transient 1 w.p. a/(a+b)
+	var u [64]uint64
+	agg.MergeDrawn(local, func(lw uint64, nbits int) uint64 {
+		r.Fill53(u[:nbits])
+		var t uint64
+		for j, x := range u[:nbits] {
+			// Branch-free threshold select by the local bit, then the
+			// borrow of x − thr is the transient bit (both < 2^54).
+			thr := thr0 ^ (thr0^thr1)&-(lw>>uint(j)&1)
+			t |= (x - thr) >> 63 << uint(j)
 		}
-		transient.Set(i, r.Bernoulli(p))
-	}
-	agg.Merge3(local, transient)
+		return t
+	})
+}
+
+// bernoulliThreshold returns ceil(p·2^53) for p in (0, 1): for an
+// integer numerator u < 2^53, u/2^53 < p holds exactly when
+// u < bernoulliThreshold(p).
+func bernoulliThreshold(p float64) uint64 {
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Config parameterizes a Marsit instance.
@@ -165,6 +184,7 @@ type Config struct {
 type Marsit struct {
 	cfg   Config
 	comp  []tensor.Vec // c^(m)_t per worker
+	u     []tensor.Vec // per-worker scratch for u_t = η_l·g_t + c_t
 	round int
 	rngs  []*rng.PCG // one stream per worker (transient draws)
 	// engine is the concurrent execution engine; nil in sequential mode.
@@ -192,10 +212,12 @@ func New(cfg Config) (*Marsit, error) {
 	m := &Marsit{
 		cfg:  cfg,
 		comp: make([]tensor.Vec, cfg.Workers),
+		u:    make([]tensor.Vec, cfg.Workers),
 		rngs: make([]*rng.PCG, cfg.Workers),
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		m.comp[w] = tensor.New(cfg.Dim)
+		m.u[w] = tensor.New(cfg.Dim)
 		m.rngs[w] = rng.NewStream(cfg.Seed, uint64(w)+1)
 	}
 	if cfg.Parallel {
@@ -268,13 +290,13 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 	if len(grads) != n {
 		panic(fmt.Sprintf("core: %d gradients for %d workers", len(grads), n))
 	}
-	// Line 1: u_w = η_l·g_w + c_w.
-	u := make([]tensor.Vec, n)
+	// Line 1: u_w = η_l·g_w + c_w, into the per-instance scratch.
+	u := m.u
 	for w := 0; w < n; w++ {
 		if len(grads[w]) != d {
 			panic(fmt.Sprintf("core: worker %d gradient dim %d, want %d", w, len(grads[w]), d))
 		}
-		u[w] = tensor.Clone(grads[w])
+		copy(u[w], grads[w])
 		tensor.Add(u[w], m.comp[w])
 	}
 
@@ -296,7 +318,7 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 		for w := 0; w < n; w++ {
 			tensor.Zero(m.comp[w])
 		}
-		return u[0]
+		return tensor.Clone(u[0]) // u is scratch: the caller gets its own copy
 	}
 
 	// Lines 4–8: one-bit synchronization.

@@ -27,6 +27,7 @@ type RankSync struct {
 	cfg   Config
 	rank  int
 	comp  tensor.Vec
+	u     tensor.Vec // scratch for u_t = η_l·g_t + c_t
 	rng   *rng.PCG
 	round int
 }
@@ -56,6 +57,7 @@ func NewRankSync(cfg Config, rank int) (*RankSync, error) {
 		cfg:  cfg,
 		rank: rank,
 		comp: tensor.New(cfg.Dim),
+		u:    tensor.New(cfg.Dim),
 		// The same per-worker stream derivation as New: stream w+1 of
 		// the shared seed.
 		rng: rng.NewStream(cfg.Seed, uint64(rank)+1),
@@ -88,8 +90,9 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 	if len(grad) != d {
 		panic(fmt.Sprintf("core: rank %d gradient dim %d, want %d", r.rank, len(grad), d))
 	}
-	// Line 1: u = η_l·g + c.
-	u := tensor.Clone(grad)
+	// Line 1: u = η_l·g + c, into the per-instance scratch.
+	u := r.u
+	copy(u, grad)
 	tensor.Add(u, r.comp)
 
 	full := r.FullPrecisionNext()
@@ -104,7 +107,7 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 		}
 		tensor.Zero(r.comp)
 		runtime.ClockBarrier(c, ep)
-		return u
+		return tensor.Clone(u) // u is scratch: the caller gets its own copy
 	}
 
 	// Lines 4–8: one-bit synchronization with the ⊙ merge drawing from

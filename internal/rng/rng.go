@@ -21,7 +21,10 @@
 // stream ids (or the Streams convenience).
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // PCG is a permuted congruential generator (PCG-XSH-RR) with a 64-bit
 // state and a selectable stream. The zero value is NOT usable; construct
@@ -36,6 +39,9 @@ type PCG struct {
 }
 
 const pcgMult = 6364136223846793005
+
+// pcgMult2 is pcgMult² mod 2^64, the multiplier of two steps at once.
+const pcgMult2 = 0x685f98a2018fade9
 
 // splitmix64 advances x and returns a well-mixed 64-bit value. It is the
 // standard SplitMix64 finalizer, used for seeding.
@@ -96,11 +102,12 @@ func (p *PCG) step() uint64 {
 }
 
 // next32 produces the next 32-bit PCG-XSH-RR output.
-func (p *PCG) next32() uint32 {
-	old := p.step()
+func (p *PCG) next32() uint32 { return output(p.step()) }
+
+// output is the XSH-RR permutation of a pre-step state.
+func output(old uint64) uint32 {
 	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
+	return bits.RotateLeft32(xorshifted, -int(old>>59))
 }
 
 // Uint64 returns a uniform 64-bit value.
@@ -144,6 +151,29 @@ func mul64(a, b uint64) (hi, lo uint64) {
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (p *PCG) Float64() float64 {
 	return float64(p.Uint64()>>11) / (1 << 53)
+}
+
+// Fill53 writes the next len(dst) values of Uint64()>>11 into dst: the
+// 53-bit numerators that len(dst) successive Float64 calls would divide
+// by 2^53. Stream contract: afterwards the generator stands exactly
+// where those Float64 calls would have left it, so batched and scalar
+// draws interleave freely without changing any fixed-seed result. The
+// state stays in a register for the whole loop; this is the batched
+// Bernoulli draw of the stochastic sign kernels, where Float64() < prob
+// is decided as u < ceil(prob·2^53) on the integer numerator u.
+func (p *PCG) Fill53(dst []uint64) {
+	// Each value takes two LCG steps; s·M² + inc·(M+1) is both at once,
+	// which halves the loop-carried multiply chain (mod-2^64 arithmetic
+	// makes it the identical state).
+	s, inc := p.state, p.inc
+	inc2 := inc * (pcgMult + 1)
+	for i := range dst {
+		hi := output(s)
+		lo := output(s*pcgMult + inc)
+		s = s*pcgMult2 + inc2
+		dst[i] = (uint64(hi)<<32 | uint64(lo)) >> 11
+	}
+	p.state = s
 }
 
 // Bernoulli returns true with probability prob. Probabilities outside

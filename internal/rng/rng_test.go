@@ -275,3 +275,36 @@ func BenchmarkBernoulliWordHalf(b *testing.B) {
 		_ = p.BernoulliWord(0.5, 64)
 	}
 }
+
+// TestFill53MatchesFloat64 pins Fill53's stream contract: it yields
+// exactly the numerators Float64 divides by 2^53, and leaves the
+// generator where as many Float64 calls would, for every batch length
+// (including zero) and across interleaved scalar draws.
+func TestFill53MatchesFloat64(t *testing.T) {
+	batch, scalar := NewStream(71, 3), NewStream(71, 3)
+	buf := make([]uint64, 130)
+	for n := 0; n <= len(buf); n++ {
+		batch.Fill53(buf[:n])
+		for i, u := range buf[:n] {
+			if u >= 1<<53 {
+				t.Fatalf("n=%d: Fill53[%d] = %#x exceeds 53 bits", n, i, u)
+			}
+			if want := scalar.Float64() * (1 << 53); float64(u) != want {
+				t.Fatalf("n=%d: Fill53[%d] = %d, Float64()·2^53 = %v", n, i, u, want)
+			}
+		}
+		// A scalar draw between batches must see the same stream too.
+		if b, s := batch.Uint64(), scalar.Uint64(); b != s {
+			t.Fatalf("after Fill53 of %d: next Uint64 %x, want %x", n, b, s)
+		}
+	}
+}
+
+func BenchmarkFill53(b *testing.B) {
+	p := New(1)
+	buf := make([]uint64, 64)
+	for i := 0; i < b.N; i++ {
+		p.Fill53(buf)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/64, "ns/draw")
+}

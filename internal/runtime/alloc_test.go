@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"testing"
 
 	"marsit/internal/collective/registry"
@@ -121,6 +122,33 @@ func TestSignSumSteadyStateAllocs(t *testing.T) {
 // into per-hop payload allocation.
 func TestRARSteadyStateAllocs(t *testing.T) {
 	testSteadyStateAllocs(t, "rar", 1<<14)
+}
+
+// TestMarsitSteadyStateAllocs pins the paper's collective: u_t lives
+// in per-instance scratch, so a round allocates one fresh D-vector per
+// rank — the returned update g_t, or the copy of the full-precision mean
+// — plus one-bit scratch of about D/8 bytes per hop (≈1.05·M·D·8 in
+// all; more under -race, whose sync.Pool drops items). A u cloned every
+// round adds another M·D·8 bytes and fails the 1.5·M·D·8 cap.
+func TestMarsitSteadyStateAllocs(t *testing.T) {
+	const workers, dim = 4, 1 << 14
+	testSteadyStateAllocs(t, "marsit", dim)
+
+	run, done := allocRun(t, "marsit", "loopback", workers, dim)
+	defer done()
+	const rounds = 6 // two K = 3 periods: full-precision and one-bit rounds alike
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		run()
+	}
+	goruntime.ReadMemStats(&after)
+	perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
+	limit := uint64(workers * dim * 8 * 3 / 2)
+	t.Logf("marsit M=%d D=%d: %d B/round (cap %d)", workers, dim, perRound, limit)
+	if perRound > limit {
+		t.Fatalf("marsit allocates %d B per round (cap %d): u_t is no longer per-instance scratch", perRound, limit)
+	}
 }
 
 // TestShmSteadyStateAllocs holds the shared-memory fabric to the same

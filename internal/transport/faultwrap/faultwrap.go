@@ -128,12 +128,14 @@ func (t *Transport) FabricMetrics() *obs.FabricMetrics {
 	return nil
 }
 
-// endpoint delays sends on its owning rank's goroutine. The per-
-// destination streams inherit the endpoint's single-goroutine contract,
-// so draws are deterministic in (Seed, from, to, index).
+// endpoint delays sends on the sending goroutine. Draws are
+// deterministic in (Seed, from, to, index); mu guards the streams,
+// because Sends on one endpoint may run concurrently (jobmux sends
+// from one goroutine per job).
 type endpoint struct {
 	tr      *Transport
 	inner   transport.Endpoint
+	mu      sync.Mutex
 	streams []*rng.PCG
 	factor  float64
 }
@@ -169,7 +171,9 @@ func (e *endpoint) draw(to int) time.Duration {
 	}
 	d := float64(cfg.Base)
 	if cfg.Jitter > 0 {
+		e.mu.Lock()
 		d += e.streams[to].Float64() * float64(cfg.Jitter)
+		e.mu.Unlock()
 	}
 	return time.Duration(d * e.factor)
 }

@@ -31,10 +31,13 @@
 // # Concurrency
 //
 // Pumps call the inner endpoint's Recv concurrently — one goroutine per
-// peer link — and job endpoints call the inner Send concurrently across
-// jobs. This leans on the per-link channel structure both backends
-// share (and the conformance suite pins): distinct links never share
-// mutable state, and per-(job, pair) FIFO survives because the inner
+// peer link, so each link still has a single reader — and job endpoints
+// call the inner Send concurrently across jobs, so one link may have
+// several writers at once. Every fabric (loopback, TCP, shm, hybrid,
+// and faultwrap around any of them) keeps distinct links free of shared
+// mutable state and serializes concurrent Sends on one link into whole
+// frames; the conformance suite pins both. Per-(job, pair) FIFO
+// survives because each job sends from its own goroutine and the inner
 // per-pair FIFO is split by the Job field into independent queues.
 //
 // Like the frame header that carries it, the Job field is never charged

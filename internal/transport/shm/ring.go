@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -55,7 +56,9 @@ const (
 	frameHeader = 4 + 4 + 8 + 4
 )
 
-// ring is one mapped SPSC ring file.
+// ring is one mapped SPSC ring file. Only one process writes a given
+// ring (the one hosting rank from); within it, sendMu admits one
+// producer at a time.
 type ring struct {
 	file *os.File
 	mem  []byte // the whole mapping; nil after unmap
@@ -65,6 +68,12 @@ type ring struct {
 	head   *uint64 // into the mapping, 8-byte aligned
 	tail   *uint64
 	closed *uint32
+
+	// sendMu serializes this process's producers. The ring itself is
+	// single-producer, but one endpoint may Send from several
+	// goroutines at once — jobmux does, one per job — and two
+	// unserialized writers would both publish at the same head.
+	sendMu sync.Mutex
 }
 
 // ringName is the rendezvous filename for the ordered pair (from, to).

@@ -411,7 +411,9 @@ func (e *endpoint) Size() int { return e.f.n }
 // Send implements transport.Endpoint: copy the frame into the (rank,
 // to) ring, blocking with backoff while it is full. The payload buffer
 // is recycled after the copy, like the TCP writer — shm is a copying
-// wire backend, so steady state stays allocation-free.
+// wire backend, so steady state stays allocation-free. Concurrent Sends
+// on one link are safe: they take turns on the ring's producer lock,
+// each frame whole.
 func (e *endpoint) Send(to int, p transport.Packet) error {
 	f := e.f
 	f.check(to)
@@ -434,6 +436,10 @@ func (e *endpoint) Send(to int, p transport.Packet) error {
 	if need > r.cap {
 		return fmt.Errorf("shm: frame of %d bytes exceeds ring capacity %d (raise Config.RingBytes)", need, r.cap)
 	}
+	// Hold the producer lock from the space check through the publish:
+	// a second sender must see this frame's head before it reserves.
+	r.sendMu.Lock()
+	defer r.sendMu.Unlock()
 	head := atomic.LoadUint64(r.head)
 	var w waiter
 	for {

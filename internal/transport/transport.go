@@ -60,8 +60,11 @@ type Packet struct {
 	Clock float64
 }
 
-// Endpoint is one rank's view of the fabric. An Endpoint must only be
-// used from a single goroutine at a time.
+// Endpoint is one rank's view of the fabric. Sends may run
+// concurrently, on one link or many: each arrives as a whole frame, and
+// one goroutine's Sends on a link keep their order. Recvs on distinct
+// links may run concurrently; a link has one receiving goroutine at a
+// time.
 type Endpoint interface {
 	// Rank returns the rank this endpoint belongs to.
 	Rank() int

@@ -2,7 +2,7 @@
 // transport.Transport implementations. Every backend — the in-process
 // Loopback, the TCP fabric, and whatever comes next — must exhibit the
 // same observable contract: per-pair FIFO delivery with intact Wire and
-// Clock fields, genuinely blocking receives, Close unblocking pending
+// Clock fields, whole frames under concurrent Sends on one link, genuinely blocking receives, Close unblocking pending
 // operations, ErrClosed after Close, and deadlock-free neighbor exchange
 // on rings of odd and even size. Backend packages invoke Run from their
 // own tests with a factory for their fabric.
@@ -27,6 +27,7 @@ type Factory func(t *testing.T, n int) transport.Transport
 func Run(t *testing.T, factory Factory) {
 	t.Run("RankAndSize", func(t *testing.T) { testRankAndSize(t, factory) })
 	t.Run("FIFOPerPair", func(t *testing.T) { testFIFOPerPair(t, factory) })
+	t.Run("ConcurrentSendsOneLink", func(t *testing.T) { testConcurrentSends(t, factory) })
 	t.Run("PairwiseExchange", func(t *testing.T) { testPairwiseExchange(t, factory) })
 	t.Run("BlockingRecv", func(t *testing.T) { testBlockingRecv(t, factory) })
 	t.Run("CloseUnblocksRecv", func(t *testing.T) { testCloseUnblocksRecv(t, factory) })
@@ -204,6 +205,68 @@ func testFIFOPerPair(t *testing.T, factory Factory) {
 		}
 	}()
 	waitAll(t, &wg, 10*time.Second, "fifo per pair")
+}
+
+// testConcurrentSends has several goroutines Send on the same link at
+// once — what jobmux does when jobs share a fabric — and checks every
+// frame arrives whole, exactly once, and in each sender's own order.
+// Payload lengths vary per frame, so two writers interleaving inside
+// one frame, or publishing over each other, show up as a torn or lost
+// frame.
+func testConcurrentSends(t *testing.T, factory Factory) {
+	tr := factory(t, 2)
+	defer tr.Close()
+	const senders, count = 4, 200
+	frame := func(g, i int) transport.Packet {
+		data := make([]byte, 3+(g*count+i)%61)
+		data[0], data[1], data[2] = byte(g), byte(i), byte(i>>8)
+		for k := 3; k < len(data); k++ {
+			data[k] = byte(g*31 + i + k)
+		}
+		return transport.Packet{Data: data, Wire: g<<16 | i, Clock: float64(g*count + i)}
+	}
+	var wg sync.WaitGroup
+	wg.Add(senders + 1)
+	for g := 0; g < senders; g++ {
+		go func(g int) {
+			defer wg.Done()
+			ep := tr.Endpoint(0)
+			for i := 0; i < count; i++ {
+				if err := ep.Send(1, frame(g, i)); err != nil {
+					t.Errorf("sender %d send %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	go func() {
+		defer wg.Done()
+		ep := tr.Endpoint(1)
+		next := make([]int, senders)
+		for k := 0; k < senders*count; k++ {
+			p, err := ep.Recv(0)
+			if err != nil {
+				t.Errorf("recv %d: %v", k, err)
+				return
+			}
+			g, i := p.Wire>>16, p.Wire&0xffff
+			if g < 0 || g >= senders {
+				t.Errorf("recv %d: frame from unknown sender %d", k, g)
+				return
+			}
+			if i != next[g] {
+				t.Errorf("recv %d: sender %d frame %d arrived, want %d", k, g, i, next[g])
+				return
+			}
+			want := frame(g, i)
+			if string(p.Data) != string(want.Data) || p.Clock != want.Clock {
+				t.Errorf("recv %d: frame %d/%d arrived torn (%d bytes, want %d)", k, g, i, len(p.Data), len(want.Data))
+				return
+			}
+			next[g]++
+		}
+	}()
+	waitAll(t, &wg, 15*time.Second, "concurrent sends on one link")
 }
 
 // testPairwiseExchange has every ordered pair exchange messages
