@@ -19,7 +19,9 @@ import (
 	"marsit/internal/collective/registry"
 	"marsit/internal/experiments"
 	"marsit/internal/rng"
+	"marsit/internal/runtime"
 	"marsit/internal/tensor"
+	"marsit/internal/transport"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -140,34 +142,51 @@ func baselineIters(n int) int {
 	return n
 }
 
-func benchEngineRAR(b *testing.B, workers, dim int) {
-	r := rng.New(17)
-	base := make([]Vec, workers)
-	for w := range base {
-		base[w] = r.NormVec(make(Vec, dim), 0, 1)
+// benchEngineCollective times one round of the registered collective
+// name on eng over work (which the rounds mutate), then reports the
+// descriptor's sequential leg on the same inputs as the baseline.
+func benchEngineCollective(b *testing.B, eng *Engine, name string, o registry.Opts, work []Vec) {
+	b.Helper()
+	desc, err := registry.Get(name)
+	if err != nil {
+		b.Fatal(err)
 	}
-	work := make([]Vec, workers)
-	for w := range work {
-		work[w] = tensor.Clone(base[w])
+	parOpts, seqOpts := o, o
+	cl, err := eng.Open(desc, &parOpts)
+	if err != nil {
+		b.Fatal(err)
 	}
-	cluster := NewCluster(workers)
-	eng := NewEngine(workers)
-	defer eng.Close()
+	cluster := NewCluster(len(work))
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.RingAllReduce(cluster, work)
+		cl.Run(cluster, work)
 	}
 	b.StopTimer()
 
+	seq, err := desc.Seq(&seqOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	iters := baselineIters(b.N)
-	seqCluster := NewCluster(workers)
+	seqCluster := NewCluster(len(work))
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		collective.RingAllReduce(seqCluster, work)
+		seq(seqCluster, work)
 	}
 	reportSeqBaseline(b, time.Since(start), iters)
+}
+
+func benchEngineRAR(b *testing.B, workers, dim int) {
+	r := rng.New(17)
+	work := make([]Vec, workers)
+	for w := range work {
+		work[w] = r.NormVec(make(Vec, dim), 0, 1)
+	}
+	eng := NewEngine(workers)
+	defer eng.Close()
+	benchEngineCollective(b, eng, "rar", registry.Opts{Workers: workers, Dim: dim}, work)
 }
 
 func benchEngineMarsit(b *testing.B, workers, dim int) {
@@ -269,7 +288,9 @@ func BenchmarkEngineSignSum(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.SignSumRing(cluster, signs, scales, false)
+				eng.Do(func(rank int, ep transport.Endpoint) {
+					runtime.SignSumRingRank(cluster, ep, signs[rank], scales[rank], false)
+				})
 			}
 			b.StopTimer()
 
@@ -296,26 +317,9 @@ func BenchmarkEngineCascading(b *testing.B) {
 			for w := range work {
 				work[w] = r.NormVec(make(Vec, dim), 0, 1)
 			}
-			parRNGs := rng.Streams(41, workers)
-			cluster := NewCluster(workers)
 			eng := newBenchEngine(b, tr, workers)
 			defer eng.Close()
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.CascadingRing(cluster, work, parRNGs)
-			}
-			b.StopTimer()
-
-			iters := baselineIters(b.N)
-			seqRNGs := rng.Streams(41, workers)
-			seqCluster := NewCluster(workers)
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				collective.CascadingRing(seqCluster, work, seqRNGs)
-			}
-			reportSeqBaseline(b, time.Since(start), iters)
+			benchEngineCollective(b, eng, "cascading", registry.Opts{Workers: workers, Dim: dim, Seed: 41}, work)
 		})
 	}
 }
@@ -332,24 +336,9 @@ func BenchmarkEnginePS(b *testing.B) {
 			for w := range work {
 				work[w] = r.NormVec(make(Vec, dim), 0, 1)
 			}
-			cluster := NewCluster(workers)
 			eng := newBenchEngine(b, tr, workers)
 			defer eng.Close()
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.PSAllReduce(cluster, work)
-			}
-			b.StopTimer()
-
-			iters := baselineIters(b.N)
-			seqCluster := NewCluster(workers)
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				collective.PSAllReduce(seqCluster, work)
-			}
-			reportSeqBaseline(b, time.Since(start), iters)
+			benchEngineCollective(b, eng, "ps", registry.Opts{Workers: workers, Dim: dim}, work)
 		})
 	}
 }
@@ -424,7 +413,13 @@ func TestEngineFacade(t *testing.T) {
 	collective.RingAllReduce(seqC, seqV)
 	eng := NewEngine(workers)
 	defer eng.Close()
-	eng.RingAllReduce(parC, parV)
+	rar, err := registry.Get("rar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(parC, rar, &registry.Opts{Workers: workers, Dim: dim}, parV); err != nil {
+		t.Fatal(err)
+	}
 	for w := range seqV {
 		for i := range seqV[w] {
 			if seqV[w][i] != parV[w][i] {

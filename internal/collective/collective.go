@@ -619,13 +619,6 @@ func stochasticSign(x float64, flip bool) float64 {
 	return math.Float64frombits(0x3FF0000000000000 | neg<<63)
 }
 
-// HubPushPull exposes the virtual parameter-server exchange: every
-// worker uploads upBytes[w] and receives downBytes[w], serialized on
-// the hub NIC. See PSAllReduce for the congestion semantics.
-func HubPushPull(c *netsim.Cluster, upBytes, downBytes []int) {
-	hubPushPull(c, upBytes, downBytes)
-}
-
 // CascadingRing is the cascading-compression workflow of Section 3.2:
 // ring reduce-scatter where each hop receives a compressed segment,
 // decompresses it, adds the local segment, re-compresses with SSDM and
@@ -949,21 +942,43 @@ func SSDMPS(c *netsim.Cluster, vecs []tensor.Vec, rs []*rng.PCG) {
 	if len(rs) != n {
 		panic("collective: need one RNG per worker")
 	}
-	mean := make(tensor.Vec, d)
+	signs := make([][]float64, n)
+	norms := make([]float64, n)
 	for w, v := range vecs {
-		signs, norm := ssdmCompressSeg(v, rs[w])
+		signs[w], norms[w] = ssdmCompressSeg(v, rs[w])
 		c.AddCompress(w, d)
-		for i := range mean {
-			mean[i] += norm * signs[i]
-		}
 	}
-	tensor.Scale(mean, 1/float64(n))
+	mean := ScaledSignPS(c, signs, norms)
 	for _, v := range vecs {
 		copy(v, mean)
 	}
-	up := uniformBytes(n, SignWireBytes(d))
-	down := uniformBytes(n, DenseWireBytes(d))
-	hubPushPull(c, up, down)
+}
+
+// ScaledSignPS is the norm-weighted sign push–pull under PS shared by
+// SSDM-PS, the ps-scaledsign descriptor and the train layer's PS sign
+// transports: every worker pushes signs[w] and scales[w] (1 bit/element
+// + scale), the hub forms the dense mean (1/M)·Σ scale_m·sign_m —
+// workers outer, elements inner — and broadcasts it back in full
+// precision. It returns that mean; the caller owns the compression and
+// decode charges around the exchange.
+func ScaledSignPS(c *netsim.Cluster, signs [][]float64, scales []float64) tensor.Vec {
+	n := c.Size()
+	if len(signs) != n || len(scales) != n {
+		panic("collective: need one sign vector and scale per worker")
+	}
+	d := len(signs[0])
+	mean := make(tensor.Vec, d)
+	for w, s := range signs {
+		if len(s) != d {
+			panic(fmt.Sprintf("collective: worker %d has dim %d, want %d", w, len(s), d))
+		}
+		for i := range mean {
+			mean[i] += scales[w] * s[i]
+		}
+	}
+	tensor.Scale(mean, 1/float64(n))
+	hubPushPull(c, uniformBytes(n, SignWireBytes(d)), uniformBytes(n, DenseWireBytes(d)))
+	return mean
 }
 
 // MajorityDecode is the signSGD majority decode shared by every layer

@@ -26,7 +26,7 @@ func TestHubRejectsLinkOverrides(t *testing.T) {
 		}
 	}()
 	up := []int{8, 8, 8}
-	HubPushPull(c, up, up)
+	hubPushPull(c, up, up)
 }
 
 // TestHubAcceptsClearedOverrides: clearing the overrides restores the

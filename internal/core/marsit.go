@@ -38,6 +38,7 @@ import (
 	"marsit/internal/runtime"
 	"marsit/internal/tensor"
 	"marsit/internal/topology"
+	"marsit/internal/transport"
 	"marsit/internal/transport/hybrid"
 	"marsit/internal/transport/shm"
 	"marsit/internal/transport/tcp"
@@ -188,26 +189,36 @@ type Marsit struct {
 	round int
 	rngs  []*rng.PCG // one stream per worker (transient draws)
 	// engine is the concurrent execution engine; nil in sequential mode.
-	// Each rank's goroutine owns rngs[rank] exclusively during a
-	// collective, so the per-worker streams advance exactly as in the
-	// sequential schedule.
+	// It runs ranks[w] on worker w's goroutine. Each RankSync shares
+	// comp[w], u[w] and rngs[w] with this instance, so the compensation
+	// state reads the same in both modes and the per-worker streams
+	// advance exactly as in the sequential schedule.
 	engine *runtime.Engine
+	ranks  []*RankSync
+}
+
+// validate checks the fields every Marsit and RankSync needs.
+func (cfg Config) validate() error {
+	if cfg.Workers < 1 {
+		return fmt.Errorf("core: Workers = %d, need >= 1", cfg.Workers)
+	}
+	if cfg.Dim < 1 {
+		return fmt.Errorf("core: Dim = %d, need >= 1", cfg.Dim)
+	}
+	if cfg.GlobalLR <= 0 {
+		return fmt.Errorf("core: GlobalLR = %v, need > 0", cfg.GlobalLR)
+	}
+	if cfg.Torus != nil && cfg.Torus.Size() != cfg.Workers {
+		return fmt.Errorf("core: torus size %d != workers %d", cfg.Torus.Size(), cfg.Workers)
+	}
+	return nil
 }
 
 // New validates cfg and returns a fresh Marsit with zero compensation
 // (Algorithm 2, line 1).
 func New(cfg Config) (*Marsit, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("core: Workers = %d, need >= 1", cfg.Workers)
-	}
-	if cfg.Dim < 1 {
-		return nil, fmt.Errorf("core: Dim = %d, need >= 1", cfg.Dim)
-	}
-	if cfg.GlobalLR <= 0 {
-		return nil, fmt.Errorf("core: GlobalLR = %v, need > 0", cfg.GlobalLR)
-	}
-	if cfg.Torus != nil && cfg.Torus.Size() != cfg.Workers {
-		return nil, fmt.Errorf("core: torus size %d != workers %d", cfg.Torus.Size(), cfg.Workers)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	m := &Marsit{
 		cfg:  cfg,
@@ -226,6 +237,10 @@ func New(cfg Config) (*Marsit, error) {
 			return nil, err
 		}
 		m.engine = eng
+		m.ranks = make([]*RankSync, cfg.Workers)
+		for w := range m.ranks {
+			m.ranks[w] = &RankSync{cfg: cfg, rank: w, comp: m.comp[w], u: m.u[w], rng: m.rngs[w]}
+		}
 	}
 	return m, nil
 }
@@ -280,7 +295,8 @@ func (m *Marsit) FullPrecisionNext() bool {
 // It returns the consensus global update g_t that every worker applies
 // as x̃_{t+1} = x̃_t − g_t, and advances the compensation state.
 // Simulated time and bytes are charged to c, which must have exactly
-// cfg.Workers workers.
+// cfg.Workers workers. On the parallel engine every worker goroutine
+// runs its rank's RankSync; only rank 0 builds g_t.
 func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 	n := m.cfg.Workers
 	d := m.cfg.Dim
@@ -290,12 +306,27 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 	if len(grads) != n {
 		panic(fmt.Sprintf("core: %d gradients for %d workers", len(grads), n))
 	}
+	for w, g := range grads {
+		if len(g) != d {
+			panic(fmt.Sprintf("core: worker %d gradient dim %d, want %d", w, len(g), d))
+		}
+	}
+	if m.engine != nil {
+		gt := tensor.New(d)
+		m.engine.Do(func(rank int, ep transport.Endpoint) {
+			var dst tensor.Vec
+			if rank == 0 {
+				dst = gt
+			}
+			m.ranks[rank].sync(c, ep, grads[rank], dst)
+		})
+		m.round++
+		return gt
+	}
+
 	// Line 1: u_w = η_l·g_w + c_w, into the per-instance scratch.
 	u := m.u
 	for w := 0; w < n; w++ {
-		if len(grads[w]) != d {
-			panic(fmt.Sprintf("core: worker %d gradient dim %d, want %d", w, len(grads[w]), d))
-		}
 		copy(u[w], grads[w])
 		tensor.Add(u[w], m.comp[w])
 	}
@@ -305,14 +336,9 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 
 	if full {
 		// Lines 11–13: full-precision MAR; g_t = mean(u); c ← 0.
-		switch {
-		case m.engine != nil && m.cfg.Torus != nil:
-			m.engine.TorusAllReduce(c, m.cfg.Torus, u)
-		case m.engine != nil:
-			m.engine.RingAllReduce(c, u)
-		case m.cfg.Torus != nil:
+		if m.cfg.Torus != nil {
 			collective.TorusAllReduce(c, m.cfg.Torus, u)
-		default:
+		} else {
 			collective.RingAllReduce(c, u)
 		}
 		for w := 0; w < n; w++ {
@@ -348,9 +374,6 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 // worker). Reception and merging overlap (Section 4.1.1), so only the
 // initial sign packing is charged as compression.
 func (m *Marsit) oneBitAllReduce(c *netsim.Cluster, u []tensor.Vec) *bitvec.Vec {
-	if m.engine != nil {
-		return m.oneBitAllReduceParallel(c, u)
-	}
 	n := m.cfg.Workers
 	bits := make([]*bitvec.Vec, n)
 	for w := 0; w < n; w++ {
@@ -365,32 +388,6 @@ func (m *Marsit) oneBitAllReduce(c *netsim.Cluster, u []tensor.Vec) *bitvec.Vec 
 		m.oneBitRingGroups(c, bits, torusColGroups(m.cfg.Torus), m.cfg.Torus.Cols())
 	} else {
 		m.oneBitRingGroups(c, bits, [][]int{ranks(n)}, 1)
-	}
-	return bits[0]
-}
-
-// oneBitAllReduceParallel is oneBitAllReduce on the concurrent engine:
-// sign packing and the ⊙-merge ring run one goroutine per worker, with
-// each rank's merges drawing from its own stream in the sequential
-// order, so the returned consensus bits are identical to the
-// single-threaded schedule's.
-func (m *Marsit) oneBitAllReduceParallel(c *netsim.Cluster, u []tensor.Vec) *bitvec.Vec {
-	n := m.cfg.Workers
-	bits := make([]*bitvec.Vec, n)
-	m.engine.ParallelFor(func(w int) {
-		bits[w] = bitvec.FromSigns(u[w])
-		c.AddCompress(w, m.cfg.Dim)
-	})
-	if n == 1 {
-		return bits[0]
-	}
-	merge := func(rank int, agg, local *bitvec.Vec, aggWeight, localWeight int) {
-		MergeSigns(agg, local, aggWeight, localWeight, m.rngs[rank])
-	}
-	if m.cfg.Torus != nil {
-		m.engine.OneBitTorusAllReduce(c, m.cfg.Torus, bits, merge)
-	} else {
-		m.engine.OneBitRingAllReduce(c, bits, merge)
 	}
 	return bits[0]
 }

@@ -96,6 +96,23 @@ func TestParallelSyncEquivalenceTorus(t *testing.T) {
 	}
 }
 
+// TestParallelSyncEquivalenceNoCompensation covers the compensation
+// ablation, whose parallel rounds skip line 10 on every RankSync: a
+// ring with full-precision rounds (K=3) and a 2×2 torus that stays
+// one-bit (K=0).
+func TestParallelSyncEquivalenceNoCompensation(t *testing.T) {
+	cases := map[string]Config{
+		"ring_K=3":     {Workers: 4, Dim: 203, K: 3},
+		"torus2x2_K=0": {Workers: 4, Dim: 157, K: 0, Torus: topology.NewTorus(2, 2)},
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg.GlobalLR, cfg.Seed, cfg.DisableCompensation = 0.05, 57, true
+			runEngines(t, cfg, 7)
+		})
+	}
+}
+
 // TestParallelCloseSequentialNoop checks Close is safe in both modes.
 func TestParallelCloseSequentialNoop(t *testing.T) {
 	seq := MustNew(Config{Workers: 2, Dim: 8, GlobalLR: 0.1, Seed: 1})

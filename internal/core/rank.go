@@ -12,17 +12,21 @@ import (
 )
 
 // RankSync executes Algorithm 1 for a single rank of a distributed
-// fabric — the per-rank counterpart of Marsit.Sync, used by processes
-// that host one rank each (cmd/marsit-node). It keeps the rank's
+// fabric — the per-rank counterpart of the sequential Marsit.Sync. It
+// is the only per-rank implementation of a Marsit round: processes that
+// host one rank each (cmd/marsit-node) run one, and a Parallel Marsit
+// runs one per worker goroutine of its engine. It keeps the rank's
 // compensation vector and transient stream, and runs each round's
 // collective through the per-rank entry points of internal/runtime, so
 // a fleet of RankSyncs over one transport is bit-identical — updates,
-// compensation, wire bytes and virtual clocks — to a Marsit driving the
-// whole cluster (the fleet equivalence tests pin this).
+// compensation, wire bytes and virtual clocks — to a sequential Marsit
+// driving the whole cluster (the fleet and parallel equivalence tests
+// pin this).
 //
-// It lives next to Marsit.Sync on purpose: the two must mirror each
-// other mechanism for mechanism (charge order, merge-stream derivation,
-// K-period condition, barrier placement). Change them together.
+// It lives next to the sequential Marsit.Sync on purpose: the two must
+// mirror each other mechanism for mechanism (charge order, merge-stream
+// derivation, K-period condition, barrier placement). Change them
+// together.
 type RankSync struct {
 	cfg   Config
 	rank  int
@@ -38,17 +42,8 @@ type RankSync struct {
 // schedule (TAR full-precision rounds, row-then-column one-bit rings),
 // mirroring Marsit.Sync's topology switch.
 func NewRankSync(cfg Config, rank int) (*RankSync, error) {
-	if cfg.Torus != nil && cfg.Torus.Size() != cfg.Workers {
-		return nil, fmt.Errorf("core: torus size %d != workers %d", cfg.Torus.Size(), cfg.Workers)
-	}
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("core: Workers = %d, need >= 1", cfg.Workers)
-	}
-	if cfg.Dim < 1 {
-		return nil, fmt.Errorf("core: Dim = %d, need >= 1", cfg.Dim)
-	}
-	if cfg.GlobalLR <= 0 {
-		return nil, fmt.Errorf("core: GlobalLR = %v, need > 0", cfg.GlobalLR)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if rank < 0 || rank >= cfg.Workers {
 		return nil, fmt.Errorf("core: rank %d out of range [0,%d)", rank, cfg.Workers)
@@ -82,6 +77,16 @@ func (r *RankSync) FullPrecisionNext() bool {
 // like the sequential engine, and the round ends in a ClockBarrier
 // (netsim's implicit lock step, over the wire).
 func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+	gt := tensor.New(r.cfg.Dim)
+	r.sync(c, ep, grad, gt)
+	return gt
+}
+
+// sync is Sync writing g_t into gt. A nil gt skips building g_t: the
+// compensation is then formed in place from the consensus signs, so an
+// in-process fleet materializes one g_t (on the rank whose update is
+// returned), not one per rank.
+func (r *RankSync) sync(c *netsim.Cluster, ep transport.Endpoint, grad, gt tensor.Vec) {
 	if ep.Rank() != r.rank || ep.Size() != r.cfg.Workers {
 		panic(fmt.Sprintf("core: endpoint %d/%d for RankSync %d/%d",
 			ep.Rank(), ep.Size(), r.rank, r.cfg.Workers))
@@ -105,9 +110,10 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 		} else {
 			runtime.RingAllReduceRank(c, ep, u)
 		}
+		copy(gt, u) // u is scratch: the caller gets its own copy
 		tensor.Zero(r.comp)
 		runtime.ClockBarrier(c, ep)
-		return tensor.Clone(u) // u is scratch: the caller gets its own copy
+		return
 	}
 
 	// Lines 4–8: one-bit synchronization with the ⊙ merge drawing from
@@ -130,17 +136,21 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 		runtime.OneBitRingAllReduceRank(c, ep, bits, merge)
 	}
 
-	// Line 9: g_t = η_s · signs.
-	gt := tensor.New(d)
-	bits.UnpackSigns(gt)
-	tensor.Scale(gt, r.cfg.GlobalLR)
+	// Line 9: g_t = η_s · signs; line 10: c_{t+1} = u − g_t. Without a
+	// gt, c = (−η_s)·signs + u is the same value bit for bit.
 	c.AddDecompress(r.rank, d)
-
-	// Line 10: c_{t+1} = u − g_t.
-	if !r.cfg.DisableCompensation {
-		copy(r.comp, u)
-		tensor.Sub(r.comp, gt)
+	switch {
+	case gt != nil:
+		bits.UnpackSigns(gt)
+		tensor.Scale(gt, r.cfg.GlobalLR)
+		if !r.cfg.DisableCompensation {
+			copy(r.comp, u)
+			tensor.Sub(r.comp, gt)
+		}
+	case !r.cfg.DisableCompensation:
+		bits.UnpackSigns(r.comp)
+		tensor.Scale(r.comp, -r.cfg.GlobalLR)
+		tensor.Add(r.comp, u)
 	}
 	runtime.ClockBarrier(c, ep)
-	return gt
 }

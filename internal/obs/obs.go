@@ -284,9 +284,6 @@ func SetActive(r *Registry) (restore func()) {
 	return func() { active.Store(prev) }
 }
 
-// Disable clears the active registry.
-func Disable() { active.Store(nil) }
-
 // ---------------------------------------------------------------------------
 // Prometheus text rendering
 

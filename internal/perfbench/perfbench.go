@@ -24,14 +24,11 @@ import (
 
 	"marsit/internal/calib"
 	"marsit/internal/collective/registry"
+	"marsit/internal/core"
 	"marsit/internal/netsim"
 	"marsit/internal/obs"
 	"marsit/internal/rng"
-	"marsit/internal/runtime"
 	"marsit/internal/tensor"
-	"marsit/internal/transport/hybrid"
-	"marsit/internal/transport/shm"
-	"marsit/internal/transport/tcp"
 )
 
 // DefaultCollectives is the suite a plain run measures: the paper's
@@ -293,41 +290,13 @@ func measureSeq(cfg *Config, desc *registry.Descriptor) (Metrics, error) {
 	}, nil)
 }
 
-// newEngine builds the parallel engine over the named fabric.
-func newEngine(workers int, fabric string) (*runtime.Engine, error) {
-	switch fabric {
-	case "loopback":
-		return runtime.New(workers), nil
-	case "tcp":
-		f, err := tcp.NewLocal(workers)
-		if err != nil {
-			return nil, err
-		}
-		return runtime.NewWithOwnedTransport(f), nil
-	case "shm":
-		f, err := shm.NewLocal(workers)
-		if err != nil {
-			return nil, err
-		}
-		return runtime.NewWithOwnedTransport(f), nil
-	case "hybrid":
-		f, err := hybrid.NewLocal(workers)
-		if err != nil {
-			return nil, err
-		}
-		return runtime.NewWithOwnedTransport(f), nil
-	default:
-		return nil, fmt.Errorf("unknown fabric %q (want loopback, tcp, shm or hybrid)", fabric)
-	}
-}
-
 func measurePar(cfg *Config, desc *registry.Descriptor, fabric string) (Metrics, *TransportStats, *calib.Entry, error) {
 	reg := obs.Active()
 	var nFabrics int
 	if reg != nil {
 		nFabrics = len(reg.Fabrics())
 	}
-	eng, err := newEngine(cfg.Workers, fabric)
+	eng, err := core.NewParallelEngine(cfg.Workers, core.Transport(fabric))
 	if err != nil {
 		return Metrics{}, nil, nil, err
 	}
@@ -418,7 +387,7 @@ func verifyCase(cfg *Config, desc *registry.Descriptor, fabric string) error {
 		return err
 	}
 
-	eng, err := newEngine(cfg.Workers, fabric)
+	eng, err := core.NewParallelEngine(cfg.Workers, core.Transport(fabric))
 	if err != nil {
 		return err
 	}

@@ -175,6 +175,3 @@ func writeCascadeSegment(dst []float64, norm float64, signs []float64, fn float6
 		dst[i] = norm * signs[i] / fn
 	}
 }
-
-// The Engine wrapper (CascadingRing) lives in deprecated.go; new code
-// goes through the registry dispatcher (Engine.Run).

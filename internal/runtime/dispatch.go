@@ -11,8 +11,7 @@ import (
 )
 
 // This file is the generic collective dispatcher: one entry point runs
-// any registered collective on the engine, replacing the per-collective
-// wrapper zoo (now thin shims in deprecated.go). Open prepares the
+// any registered collective on the engine. Open prepares the
 // per-rank runners once — stateful collectives (Marsit's compensation,
 // SSDM streams) carry their state across rounds — and Run drives one
 // round on every worker goroutine.
@@ -59,7 +58,7 @@ func (e *Engine) Open(desc *registry.Descriptor, o *registry.Opts) (*Collective,
 func (cl *Collective) Run(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
 	cl.e.checkShape(c, grads)
 	outs := make([]tensor.Vec, cl.e.n)
-	cl.e.run(func(rank int, ep transport.Endpoint) {
+	cl.e.Do(func(rank int, ep transport.Endpoint) {
 		// Label the rank's trace timeline from its own goroutine (the
 		// tracer's single-writer contract).
 		if t := obs.ActiveTracer(); t != nil {

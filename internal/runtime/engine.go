@@ -135,9 +135,14 @@ func (e *Engine) workerLoop(rank int, jobs <-chan job, ep transport.Endpoint) {
 	}
 }
 
-// run executes body(rank) on every worker goroutine and waits for all of
-// them. A worker panic is re-raised on the caller after the join.
-func (e *Engine) run(body func(rank int, ep transport.Endpoint)) {
+// Do executes body(rank, ep) on every worker goroutine, ep being the
+// rank's own endpoint, and waits for all of them. It is the engine's one
+// entry point: Collective.Run drives registry legs through it, and
+// callers that layer their own per-rank work (core.Marsit's RankSyncs,
+// the train layer's compress-then-exchange) run the exported *Rank
+// legs inside body. The body must touch only rank-owned state. A worker
+// panic is re-raised on the caller after the join.
+func (e *Engine) Do(body func(rank int, ep transport.Endpoint)) {
 	if e.closed.Load() {
 		panic("runtime: engine used after Close")
 	}
@@ -166,13 +171,6 @@ func (e *Engine) run(body func(rank int, ep transport.Endpoint)) {
 	if firstRank >= 0 {
 		panic(fmt.Sprintf("runtime: worker %d: %v", firstRank, j.panics[firstRank]))
 	}
-}
-
-// ParallelFor executes body(rank) on every worker goroutine — shard-local
-// work with no communication (gradient packing, scaling, decoding). The
-// body must touch only rank-owned state.
-func (e *Engine) ParallelFor(body func(rank int)) {
-	e.run(func(rank int, _ transport.Endpoint) { body(rank) })
 }
 
 // checkShape validates one vector per rank, all of equal dimension, and

@@ -13,14 +13,15 @@ import (
 	"marsit/internal/runtime/equivtest"
 	"marsit/internal/tensor"
 	"marsit/internal/topology"
+	"marsit/internal/transport"
 )
 
 // The cross-engine matrix for the collectives with a sequential
 // counterpart lives in equiv_test.go (one spec per collective, run by
 // the shared equivtest harness over loopback and TCP). This file keeps
 // what does not fit the spec shape: the one-bit schedule against its
-// lockstep reference, and the engine's execution semantics (ParallelFor,
-// panic propagation).
+// lockstep reference, and the engine's execution semantics (Do, panic
+// propagation).
 
 // mergeWithStreams builds a MergeFunc backed by per-rank RNG streams,
 // the exact shape core.Marsit uses.
@@ -32,6 +33,14 @@ func mergeWithStreams(seed uint64, n int) runtime.MergeFunc {
 }
 
 func modPos(i, m int) int { return ((i % m) + m) % m }
+
+// oneBitRing runs the one-bit ring schedule on every rank of eng with
+// its own bits, through the exported per-rank entry point.
+func oneBitRing(eng *runtime.Engine, c *netsim.Cluster, bits []*bitvec.Vec, merge runtime.MergeFunc) {
+	eng.Do(func(rank int, ep transport.Endpoint) {
+		runtime.OneBitRingAllReduceRank(c, ep, bits[rank], merge)
+	})
+}
 
 // seqOneBitGroups is a lockstep reference of the one-bit ring schedule
 // (the data flow of core's sequential path, without the netsim
@@ -112,7 +121,7 @@ func TestOneBitRingEquivalence(t *testing.T) {
 		c := netsim.NewCluster(n, netsim.DefaultCostModel())
 		eng := runtime.New(n)
 		defer eng.Close()
-		eng.OneBitRingAllReduce(c, bits, mergeWithStreams(99, n))
+		oneBitRing(eng, c, bits, mergeWithStreams(99, n))
 		return bits, c
 	}
 	bits1, c1 := run()
@@ -174,7 +183,10 @@ func TestOneBitTorusEquivalence(t *testing.T) {
 				c := netsim.NewCluster(n, netsim.DefaultCostModel())
 				eng := runtime.New(n)
 				defer eng.Close()
-				eng.OneBitTorusAllReduce(c, tor, bits, mergeWithStreams(5, n))
+				merge := mergeWithStreams(5, n)
+				eng.Do(func(rank int, ep transport.Endpoint) {
+					runtime.OneBitTorusAllReduceRank(c, ep, tor, bits[rank], merge)
+				})
 				return bits
 			}
 			got := run()
@@ -196,17 +208,22 @@ func TestOneBitTorusEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelFor checks rank-local bodies run once per rank.
-func TestParallelFor(t *testing.T) {
+// TestDo checks each body runs once per rank and receives its own
+// rank's endpoint.
+func TestDo(t *testing.T) {
 	const n = 6
 	eng := runtime.New(n)
 	defer eng.Close()
 	got := make([]int, n)
-	eng.ParallelFor(func(rank int) { got[rank]++ })
-	eng.ParallelFor(func(rank int) { got[rank] += 10 })
+	eps := make([]transport.Endpoint, n)
+	eng.Do(func(rank int, ep transport.Endpoint) { got[rank]++; eps[rank] = ep })
+	eng.Do(func(rank int, _ transport.Endpoint) { got[rank] += 10 })
 	for w, v := range got {
 		if v != 11 {
 			t.Fatalf("rank %d ran %d times", w, v)
+		}
+		if eps[w].Rank() != w || eps[w].Size() != n {
+			t.Fatalf("rank %d got endpoint %d/%d", w, eps[w].Rank(), eps[w].Size())
 		}
 	}
 }
@@ -225,7 +242,7 @@ func TestWorkerPanicPropagates(t *testing.T) {
 			t.Fatalf("unexpected panic payload %q", s)
 		}
 	}()
-	eng.ParallelFor(func(rank int) {
+	eng.Do(func(rank int, _ transport.Endpoint) {
 		if rank == 1 {
 			panic("boom")
 		}
@@ -252,7 +269,7 @@ func TestWorkerPanicMidCollectiveUnmasked(t *testing.T) {
 	}()
 	bits := randBits(3, n, d)
 	c := netsim.NewCluster(n, netsim.DefaultCostModel())
-	eng.OneBitRingAllReduce(c, bits, func(rank int, agg, local *bitvec.Vec, aw, bw int) {
+	oneBitRing(eng, c, bits, func(rank int, agg, local *bitvec.Vec, aw, bw int) {
 		if rank == 2 {
 			panic("merge exploded")
 		}

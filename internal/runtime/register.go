@@ -4,7 +4,6 @@ import (
 	"marsit/internal/collective"
 	"marsit/internal/collective/registry"
 	"marsit/internal/netsim"
-	"marsit/internal/rng"
 	"marsit/internal/tensor"
 	"marsit/internal/topology"
 	"marsit/internal/transport"
@@ -323,22 +322,13 @@ func init() {
 		Caps:     registry.Caps{PSFamily: true},
 		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
 			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
-				n, d := len(grads), len(grads[0])
-				update := make(tensor.Vec, d)
-				for _, g := range grads {
-					signs, scale := signScale(g)
-					for i := 0; i < d; i++ {
-						update[i] += scale * signs[i]
-					}
+				n := len(grads)
+				signs := make([][]float64, n)
+				scales := make([]float64, n)
+				for w, g := range grads {
+					signs[w], scales[w] = signScale(g)
 				}
-				tensor.Scale(update, 1/float64(n))
-				up := make([]int, n)
-				down := make([]int, n)
-				for w := range up {
-					up[w] = collective.SignWireBytes(d)
-					down[w] = collective.DenseWireBytes(d)
-				}
-				collective.HubPushPull(c, up, down)
+				update := collective.ScaledSignPS(c, signs, scales)
 				outs := make([]tensor.Vec, n)
 				for w := range outs {
 					outs[w] = update
@@ -355,8 +345,6 @@ func init() {
 	})
 }
 
-// signScale is the deterministic signSGD compression every sign
-// transport shares: the ±1 sign vector and the ℓ1/D magnitude.
 // powerRankOrDefault resolves Opts.PowerRank (0 means the canonical
 // PowerSGD rank 2).
 func powerRankOrDefault(o *registry.Opts) int {
@@ -366,16 +354,10 @@ func powerRankOrDefault(o *registry.Opts) int {
 	return 2
 }
 
+// signScale is the deterministic signSGD compression every sign
+// transport shares: the ±1 sign vector and the ℓ1/D magnitude.
 func signScale(g tensor.Vec) ([]float64, float64) {
 	signs := make([]float64, len(g))
 	tensor.SignVec(signs, g)
 	return signs, tensor.Norm1(g) / float64(len(g))
-}
-
-// Streams derives n canonical per-rank compression streams for a seed —
-// a convenience re-export of the registry derivation for callers that
-// manage streams themselves.
-func Streams(seed uint64, n int) []*rng.PCG {
-	o := registry.Opts{Workers: n, Seed: seed}
-	return o.AllStreams()
 }

@@ -336,7 +336,3 @@ func overflowRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, 
 	}
 	c.AddDecompress(rank, d)
 }
-
-// The Engine wrappers for the sign-sum family (SignSumRing,
-// SignSumTorus, OverflowRing) live in deprecated.go; new code goes
-// through the registry dispatcher (Engine.Run).

@@ -9,6 +9,7 @@ import (
 	"marsit/internal/rng"
 	"marsit/internal/runtime"
 	"marsit/internal/runtime/equivtest"
+	"marsit/internal/tensor"
 	"marsit/internal/transport"
 	"marsit/internal/transport/tcp"
 )
@@ -40,7 +41,7 @@ func TestTCPOneBitRingEquivalence(t *testing.T) {
 		defer eng.Close()
 		bits := randBits(7, n, d)
 		c := netsim.NewCluster(n, netsim.DefaultCostModel())
-		eng.OneBitRingAllReduce(c, bits, mergeWithStreams(99, n))
+		oneBitRing(eng, c, bits, mergeWithStreams(99, n))
 		return bits, c
 	}
 	tcpBits, tcpC := run(newTCPEngine(t, n))
@@ -70,13 +71,15 @@ func TestTCPEngineLargePayload(t *testing.T) {
 	loopC := netsim.NewCluster(n, netsim.DefaultCostModel())
 	tcpC := netsim.NewCluster(n, netsim.DefaultCostModel())
 
-	loop := runtime.New(n)
-	defer loop.Close()
-	loop.RingAllReduce(loopC, loopV)
-
-	eng := newTCPEngine(t, n)
-	defer eng.Close()
-	eng.RingAllReduce(tcpC, tcpV)
+	ringAllReduce := func(eng *runtime.Engine, c *netsim.Cluster, vecs []tensor.Vec) {
+		defer eng.Close()
+		eng.Do(func(rank int, ep transport.Endpoint) {
+			runtime.RingAllReduceRank(c, ep, vecs[rank])
+		})
+		c.Barrier()
+	}
+	ringAllReduce(runtime.New(n), loopC, loopV)
+	ringAllReduce(newTCPEngine(t, n), tcpC, tcpV)
 
 	equivtest.RequireSameVecs(t, loopV, tcpV)
 	equivtest.RequireSameClusters(t, loopC, tcpC)

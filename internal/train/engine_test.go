@@ -23,8 +23,11 @@ func TestEngineEquivalence(t *testing.T) {
 		{method: MethodMarsit, topo: TopoRing},
 		{method: MethodMarsit, topo: TopoTorus},
 		{method: MethodSignSGD, topo: TopoRing},
+		{method: MethodSignSGD, topo: TopoTorus},
 		{method: MethodSignSGD, topo: TopoPS},
 		{method: MethodEFSignSGD, topo: TopoRing},
+		{method: MethodEFSignSGD, topo: TopoTorus},
+		{method: MethodEFSignSGD, topo: TopoPS},
 		{method: MethodSSDM, topo: TopoRing},
 		{method: MethodSSDM, topo: TopoRing, elias: true},
 		{method: MethodSSDM, topo: TopoTorus},

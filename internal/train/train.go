@@ -39,6 +39,7 @@ import (
 	"marsit/internal/runtime"
 	"marsit/internal/tensor"
 	"marsit/internal/topology"
+	"marsit/internal/transport"
 )
 
 // Method selects the synchronization scheme: one of the paper's six
@@ -606,14 +607,16 @@ func Run(cfg Config) (*Result, error) {
 // signSGD, optionally with per-worker error feedback (efState non-nil).
 // Under MAR the sums travel with bit-width expansion; under PS the hub
 // push–pull carries 1-bit signs up and a dense mean down. A non-nil eng
-// runs the compression shard-local on the worker goroutines and the
-// exchange on the concurrent engine (sign-sum rings, or the rank-0
-// hub actor under PS) with bit-identical results and accounting.
+// runs each rank's compression and then its share of the exchange (the
+// sign-sum ring or torus, or the rank-0 hub actor under PS) on that
+// rank's goroutine, with bit-identical results and accounting.
 func signVoteSync(cluster *netsim.Cluster, cfg Config, tor *topology.Torus, eng *runtime.Engine, grads []tensor.Vec, rs []*rng.PCG, ssdm bool, efState []*compressEF) tensor.Vec {
 	n := cfg.Workers
 	d := len(grads[0])
 	signs := make([][]float64, n)
 	scales := make([]float64, n)
+	// compress touches only worker w's signs/scales entry, RNG stream,
+	// EF residual and cluster charges, so ranks may run it concurrently.
 	compress := func(w int) {
 		src := grads[w]
 		if efState != nil {
@@ -631,62 +634,56 @@ func signVoteSync(cluster *netsim.Cluster, cfg Config, tor *topology.Torus, eng 
 			efState[w].update(src, signs[w], scales[w])
 		}
 	}
-	if eng != nil {
-		// Shard-local: each worker touches only its own signs/scales
-		// entry, RNG stream, EF residual and cluster charges.
-		eng.ParallelFor(compress)
-	} else {
-		for w := 0; w < n; w++ {
-			compress(w)
-		}
-	}
-
-	var update tensor.Vec
-	if cfg.Topo == TopoPS {
-		// Hub aggregation: signs+scale up, dense mean down (majority
-		// semantics for deterministic signs, norm-weighted for SSDM).
-		if eng != nil {
-			update = eng.ScaledSignPS(cluster, signs, scales)
-		} else {
-			update = tensor.New(d)
-			for w := 0; w < n; w++ {
-				for i := 0; i < d; i++ {
-					update[i] += scales[w] * signs[w][i]
-				}
-			}
-			tensor.Scale(update, 1/float64(n))
-			up := make([]int, n)
-			down := make([]int, n)
-			for w := range up {
-				up[w] = collective.SignWireBytes(d)
-				down[w] = collective.DenseWireBytes(d)
-			}
-			collective.HubPushPull(cluster, up, down)
-		}
-	} else {
-		var sums []int64
-		var totalScale float64
-		switch {
-		case cfg.Topo == TopoTorus && eng != nil:
-			sums, totalScale = eng.SignSumTorus(cluster, tor, signs, scales, cfg.UseElias)
-		case cfg.Topo == TopoTorus:
-			sums, totalScale = collective.SignSumTorus(cluster, tor, signs, scales, cfg.UseElias)
-		case eng != nil:
-			sums, totalScale = eng.SignSumRing(cluster, signs, scales, cfg.UseElias)
-		default:
-			sums, totalScale = collective.SignSumRing(cluster, signs, scales, cfg.UseElias)
-		}
+	decode := func(sums []int64, totalScale float64) tensor.Vec {
 		if ssdm || efState != nil {
 			// Linear decode: mean scale × mean sign sum.
-			update = tensor.New(d)
+			update := tensor.New(d)
 			meanScale := totalScale / float64(n)
 			for i := 0; i < d; i++ {
 				update[i] = meanScale * float64(sums[i]) / float64(n)
 			}
-		} else {
-			// Majority vote: sign of the sum, scaled by the mean
-			// magnitude.
-			update = collective.MajorityDecode(sums, totalScale, n)
+			return update
+		}
+		// Majority vote: sign of the sum, scaled by the mean magnitude.
+		return collective.MajorityDecode(sums, totalScale, n)
+	}
+
+	// Under PS the workers push signs+scale up and the hub returns the
+	// dense mean (majority semantics for deterministic signs,
+	// norm-weighted for SSDM). The consensus is identical on every rank;
+	// rank 0's is kept.
+	var update tensor.Vec
+	if eng != nil {
+		eng.Do(func(w int, ep transport.Endpoint) {
+			compress(w)
+			var sums []int64
+			var total float64
+			switch cfg.Topo {
+			case TopoPS:
+				if u := runtime.ScaledSignPSRank(cluster, ep, signs[w], scales[w]); w == 0 {
+					update = u
+				}
+				return
+			case TopoTorus:
+				sums, total = runtime.SignSumTorusRank(cluster, ep, tor, signs[w], scales[w], cfg.UseElias)
+			default:
+				sums, total = runtime.SignSumRingRank(cluster, ep, signs[w], scales[w], cfg.UseElias)
+			}
+			if w == 0 {
+				update = decode(sums, total)
+			}
+		})
+	} else {
+		for w := 0; w < n; w++ {
+			compress(w)
+		}
+		switch cfg.Topo {
+		case TopoPS:
+			update = collective.ScaledSignPS(cluster, signs, scales)
+		case TopoTorus:
+			update = decode(collective.SignSumTorus(cluster, tor, signs, scales, cfg.UseElias))
+		default:
+			update = decode(collective.SignSumRing(cluster, signs, scales, cfg.UseElias))
 		}
 	}
 	for w := 0; w < n; w++ {

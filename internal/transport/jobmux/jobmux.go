@@ -270,9 +270,6 @@ func (m *Mux) pump(ep transport.Endpoint, rank, from int) {
 		}
 		select {
 		case j.queues[rank][from] <- p:
-			j.stats.framesRecv.Add(1)
-			j.stats.wireRecv.Add(int64(p.Wire))
-			j.stats.bytesRecv.Add(int64(len(p.Data)))
 			if c := j.counters; c != nil {
 				c.framesRecv.Inc()
 				c.wireRecv.Add(int64(p.Wire))
@@ -286,15 +283,9 @@ func (m *Mux) pump(ep transport.Endpoint, rank, from int) {
 	}
 }
 
-// jobStats aggregates a job's local traffic across its hosted ranks.
-type jobStats struct {
-	framesSent, wireSent, bytesSent atomic.Int64
-	framesRecv, wireRecv, bytesRecv atomic.Int64
-}
-
-// jobCounters mirror jobStats onto the obs registry as
-// marsit_job_*_total{job="N"} series; nil when telemetry was off at
-// Mux creation.
+// jobCounters count a job's local traffic across its hosted ranks on
+// the obs registry as marsit_job_*_total{job="N"} series; nil when
+// telemetry was off at Mux creation.
 type jobCounters struct {
 	framesSent, framesRecv *obs.Counter
 	wireSent, wireRecv     *obs.Counter
@@ -310,7 +301,9 @@ type JobFabric struct {
 	queues map[int]map[int]chan transport.Packet // [hosted rank][from]
 	eps    map[int]*jobEndpoint
 
-	stats    jobStats
+	// wireSent is the cost-model wire bytes the hosted ranks posted,
+	// kept whether or not telemetry is on.
+	wireSent atomic.Int64
 	counters *jobCounters
 
 	closeOnce sync.Once
@@ -340,10 +333,7 @@ func (j *JobFabric) FabricMetrics() *obs.FabricMetrics { return j.m.FabricMetric
 
 // WireSent returns the cost-model wire bytes this job's hosted ranks
 // have posted — the figure behind the per-job bytes/sec gauge.
-func (j *JobFabric) WireSent() int64 { return j.stats.wireSent.Load() }
-
-// PayloadSent returns the payload bytes this job's hosted ranks posted.
-func (j *JobFabric) PayloadSent() int64 { return j.stats.bytesSent.Load() }
+func (j *JobFabric) WireSent() int64 { return j.wireSent.Load() }
 
 // Close tears down this job's view: pending Recvs unblock with
 // ErrClosed, later frames for the job are dropped by the pumps, and the
@@ -381,9 +371,7 @@ func (e *jobEndpoint) Send(to int, p transport.Packet) error {
 	if err := e.inner.Send(to, p); err != nil {
 		return err
 	}
-	e.job.stats.framesSent.Add(1)
-	e.job.stats.wireSent.Add(int64(p.Wire))
-	e.job.stats.bytesSent.Add(int64(len(p.Data)))
+	e.job.wireSent.Add(int64(p.Wire))
 	if c := e.job.counters; c != nil {
 		c.framesSent.Inc()
 		c.wireSent.Add(int64(p.Wire))

@@ -111,7 +111,8 @@ type Vec = tensor.Vec
 // Engine is the concurrent execution engine: one goroutine per worker,
 // exchanging messages over a pluggable transport. Engine.Run executes
 // any registered collective (resolve a descriptor through
-// internal/collective/registry); ParallelFor runs shard-local work.
+// internal/collective/registry); Do runs a body on every rank's
+// goroutine with the rank's own endpoint.
 // Every collective reproduces the sequential engine's results, wire
 // bytes and α–β virtual clocks bit for bit over both fabric backends
 // (the generated matrix in internal/runtime/equivtest enforces this).
